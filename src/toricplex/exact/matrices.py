@@ -3,12 +3,23 @@ and over k[t].
 
 Matrices are lists of rows; an empty matrix (no rows or no columns) is legal
 everywhere and has rank 0.  All arithmetic is exact.
+
+``rank`` first splits the matrix along the connected components of the
+bipartite graph joining row i to column j when entry (i, j) is nonzero.
+Grouping the rows and columns of each component makes the matrix
+block-diagonal, so its rank is the sum of the blocks' ranks, and each block
+goes to the kernel suited to its entries: bit-packed rows over GF(2), mod p
+elimination over GF(p), fraction-free Bareiss for integral blocks over Q and
+``Fraction`` elimination for the rest.  Multiplication matrices of the
+exterior face ring split this way, one block per face outside the support of
+the multiplier, but the split is read off the entries, not assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .fields import Field
 from .poly import Poly
@@ -26,13 +37,13 @@ class SmithForm:
     rank: int
 
 
-def _rank_gf2(rows, ncols):
+def _rank_gf2(rows):
     # Rows packed into ints; plain xor elimination.
     packed = []
     for row in rows:
         bits = 0
         for j, e in enumerate(row):
-            if e % 2:
+            if e:
                 bits |= 1 << j
         if bits:
             packed.append(bits)
@@ -47,7 +58,7 @@ def _rank_gf2(rows, ncols):
 
 
 def _rank_mod_p(rows, p):
-    work = [[e % p for e in row] for row in rows]
+    work = [list(row) for row in rows]
     m, n = len(work), len(work[0])
     rank = 0
     row = 0
@@ -124,18 +135,71 @@ def _rank_fraction(rows, field):
     return rank
 
 
-def rank(rows, field: Field) -> int:
-    """Rank of a matrix with entries in the given field."""
-    if not rows or not rows[0]:
-        return 0
+def _blocks(rows):
+    """Submatrices of the connected components of the nonzero pattern.
+
+    A union-find over the columns joins each row's nonzero columns into one
+    class, and the row belongs to that class; zero entries cost one truth
+    test each.  Zero rows and zero columns belong to no block.  A matrix
+    that is one block is returned as it is.
+    """
+    n = len(rows[0])
+    columns = range(n)
+    parent = list(columns)
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    supported = []
+    used = set()
+    for row in rows:
+        cols = list(compress(columns, row))
+        if cols:
+            root = find(cols[0])
+            for j in cols[1:]:
+                r = find(j)
+                if r != root:
+                    parent[r] = root
+            supported.append((cols[0], row))
+            used.update(cols)
+    block_rows = {}
+    for first, row in supported:
+        block_rows.setdefault(find(first), []).append(row)
+    if len(block_rows) == 1 and len(used) == n and len(supported) == len(rows):
+        return [rows]
+    block_cols = {}
+    for j in sorted(used):
+        block_cols.setdefault(find(j), []).append(j)
+    return [[[row[j] for j in block_cols[root]] for row in members]
+            for root, members in block_rows.items()]
+
+
+def _block_rank(rows, field):
     if field.char == 2:
-        return _rank_gf2(rows, len(rows[0]))
+        return _rank_gf2(rows)
     if field.char > 0:
         return _rank_mod_p(rows, field.char)
     if all(isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1)
            for row in rows for e in row):
         return _rank_int_bareiss([[int(e) for e in row] for row in rows])
     return _rank_fraction(rows, field)
+
+
+def rank(rows, field: Field) -> int:
+    """Rank of a matrix with entries in the given field.
+
+    Entries may be ints or Fractions in any characteristic; over GF(p) a
+    Fraction whose denominator p divides raises ``ZeroDivisionError``.
+    """
+    if not rows or not rows[0]:
+        return 0
+    p = field.char
+    if p:  # the GF(p) kernels take entries reduced into [0, p)
+        rows = [[e % p if isinstance(e, int) else field.of(e) for e in row] for row in rows]
+    return sum(_block_rank(block, field) for block in _blocks(rows))
 
 
 def row_echelon(rows, field: Field):

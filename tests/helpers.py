@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from toricplex.exact import Poly
 
@@ -35,6 +35,37 @@ def _int_det(a):
         minor = [row[:j] + row[j + 1:] for row in a[1:]]
         total += (-1) ** j * a[0][j] * _int_det(minor)
     return total
+
+
+def rank_from_minors(rows):
+    """Rank over Q: the largest k whose k x k minors have a nonzero gcd.
+
+    Rows are scaled by the lcm of their denominators first, which keeps the
+    rank and makes every minor an integer.
+    """
+    ints = []
+    for row in rows:
+        scale = 1
+        for e in row:
+            scale = lcm(scale, Fraction(e).denominator)
+        ints.append([int(e * scale) for e in row])
+    k = 0
+    while k < min(len(ints), len(ints[0]) if ints else 0) and int_minors_gcd(ints, k + 1):
+        k += 1
+    return k
+
+
+def span_rank(rows, field):
+    """Rank over GF(p), by counting the vectors in the row space."""
+    vectors = [[field.of(e) for e in row] for row in rows]
+    span = set()
+    for coeffs in itertools.product(range(field.char), repeat=len(vectors)):
+        span.add(tuple(sum(c * v[j] for c, v in zip(coeffs, vectors)) % field.char
+                       for j in range(len(vectors[0]))))
+    k = 0
+    while field.char ** k < len(span):
+        k += 1
+    return k
 
 
 def snf_from_minor_gcds(rows):
