@@ -8,7 +8,6 @@ maximal qualifying subsets serves both; no points are ever materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .aomoto import DegreeOneClass, aomoto_betti_aah, aomoto_betti_direct
 from .exact.fields import Field
@@ -41,10 +40,16 @@ class SubspaceFamily:
 
 def strata(L: SimplicialComplex, field: Field, i: int, d: int,
            cap: int = DEFAULT_VERTEX_CAP) -> SubspaceFamily:
-    """Maximal W with beta_i(W) >= d, scanned from the full set downward.
+    """Maximal W with beta_i(W) >= d, found by dualize and advance.
 
-    Once a set qualifies every subset also qualifies, so any set contained in
-    a known maximal member is skipped without evaluation.
+    This relies on the qualifying sets being closed under subsets, so the
+    family is fixed by its maximal members and the sets just outside it are
+    the minimal non-members.  The minimal transversals of the complements of
+    the members found so far are the candidates for a further member
+    (Gunopulos et al., ACM TODS 28(2), 2003): a qualifying candidate is grown
+    one vertex at a time into a new member, and once no candidate qualifies
+    they are exactly the minimal non-members.  The cost is about n
+    evaluations per member plus one per minimal non-member.
     """
     if i < 1 or d < 1:
         raise ValueError("strata are indexed by i >= 1, d >= 1")
@@ -52,17 +57,31 @@ def strata(L: SimplicialComplex, field: Field, i: int, d: int,
         raise ValueError(
             f"vertex count {L.n} exceeds the enumeration cap {cap}; "
             "query membership of individual classes instead")
+    non_members: set[int] = set()
+
+    def qualifies(w: int) -> bool:
+        if w in non_members:
+            return False
+        if aomoto_betti_aah(L, w, field, i)[i] >= d:
+            return True
+        non_members.add(w)
+        return False
+
     maximal: list[int] = []
-    verts = list(range(L.n))
-    for size in range(L.n, -1, -1):
-        for combo in combinations(verts, size):
-            w = 0
-            for v in combo:
-                w |= 1 << v
-            if any(w & ~m == 0 for m in maximal):
-                continue
-            if aomoto_betti_aah(L, w, field, i)[i] >= d:
-                maximal.append(w)
+    transversals = [0]
+    while True:
+        t = next((t for t in transversals if qualifies(t)), None)
+        if t is None:
+            break  # the transversals are now the minimal non-members
+        for v in range(L.n):
+            if not t >> v & 1 and qualifies(t | 1 << v):
+                t |= 1 << v
+        maximal.append(t)
+        # Berge's step: add the complement of the new member as an edge.
+        edge = L.full_mask & ~t
+        hit = [s for s in transversals if s & edge]
+        grown = [s | 1 << v for s in transversals if not s & edge for v in bits(edge)]
+        transversals = hit + [s for s in grown if not any(h & ~s == 0 for h in hit)]
     return SubspaceFamily(i, d, field.char, tuple(sorted(maximal)))
 
 

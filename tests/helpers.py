@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
+from toricplex.aomoto import aomoto_betti_aah
 from toricplex.exact import Poly
 
 
@@ -66,6 +67,18 @@ def span_rank(rows, field):
     while field.char ** k < len(span):
         k += 1
     return k
+
+
+def strata_by_scan(L, field, i, d):
+    """Maximal W with beta_i(W) >= d, by evaluating every one of the 2^n subsets.
+
+    Nothing is pruned, so this does not assume that the qualifying sets are
+    closed under subsets.
+    """
+    qualifying = [w for w in range(1 << L.n)
+                  if aomoto_betti_aah(L, w, field, i)[i] >= d]
+    return tuple(w for w in qualifying
+                 if not any(w != u and w & ~u == 0 for u in qualifying))
 
 
 def snf_from_minor_gcds(rows):

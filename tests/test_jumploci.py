@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricplex.aomoto import DegreeOneClass, aomoto_betti_aah
@@ -10,6 +10,7 @@ from toricplex.exact import GF, QQ
 from toricplex.jumploci import local_system_betti, resonance_membership, strata
 from toricplex.simplicial import Graph, SimplicialComplex, mask_of, toric_betti
 
+from helpers import strata_by_scan
 from test_simplicial import path3, random_complex, two_k2
 
 FIELDS = (QQ, GF(2), GF(3))
@@ -22,6 +23,14 @@ def random_connected_graph(rng, n_max=6):
         u, v = rng.sample(range(n), 2)
         edges.add((max(u, v), min(u, v)))
     return Graph(n, edges)
+
+
+@st.composite
+def complexes(draw, n_max=7):
+    """Complexes on up to n_max vertices with up to 2n faces of up to 3 vertices."""
+    n = draw(st.integers(1, n_max))
+    face = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+    return SimplicialComplex.from_maximal_faces(draw(st.lists(face, max_size=2 * n)), n)
 
 
 class TestStrata:
@@ -45,6 +54,14 @@ class TestStrata:
         L = path3()
         fam = strata(L, QQ, 1, toric_betti(L)[1] + 1)
         assert fam.members == ()
+
+    @given(complexes(), st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 3))
+    @example(two_k2(), QQ, 1, 1)  # the full vertex set qualifies
+    @example(SimplicialComplex.simplex(3), GF(2), 1, 1)  # only the origin qualifies
+    @example(path3(), GF(3), 3, 1)  # nothing qualifies
+    @settings(max_examples=60, deadline=None)
+    def test_complete_against_exhaustive_scan(self, L, field, i, d):
+        assert strata(L, field, i, d).members == strata_by_scan(L, field, i, d)
 
     def test_cap(self):
         L = path3()
