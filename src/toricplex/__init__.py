@@ -10,7 +10,7 @@ from .aomoto import (
     DegreeOneClass, QuotientRing, aomoto_betti_aah, aomoto_betti_direct,
     beta1_closed_form, truncated_quotient,
 )
-from .exact import GF, QQ, Field, Poly, Series, SmithForm, cyclotomic, poly_ord, rank, series_compose, snf_int, snf_poly
+from .exact import GF, QQ, Field, Poly, Series, SmithForm, cyclotomic, poly_ord, rank, snf_int, snf_poly
 from .jumploci import SubspaceFamily, local_system_betti, resonance_membership, strata
 from .kernels import (
     BBSummary, FinitenessReport, HypothesisRefusal, bb_summary,

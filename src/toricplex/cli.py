@@ -83,6 +83,8 @@ def _parse_class(text: str, L: SimplicialComplex, field: Field) -> DegreeOneClas
     index = {lab: i for i, lab in enumerate(L.labels)}
     if text:
         for item in text.split(","):
+            if "=" not in item:
+                raise ValueError(f"bad coefficient assignment {item!r}; use label=value")
             label, value = item.split("=", 1)
             if label.strip() not in index:
                 raise ValueError(f"unknown vertex label {label.strip()!r}")

@@ -8,11 +8,12 @@ everywhere and has rank 0.  All arithmetic is exact.
 bipartite graph joining row i to column j when entry (i, j) is nonzero.
 Grouping the rows and columns of each component makes the matrix
 block-diagonal, so its rank is the sum of the blocks' ranks, and each block
-goes to the kernel suited to its entries: bit-packed rows over GF(2), mod p
-elimination over GF(p), fraction-free Bareiss for integral blocks over Q and
-``Fraction`` elimination for the rest.  Multiplication matrices of the
-exterior face ring split this way, one block per face outside the support of
-the multiplier, but the split is read off the entries, not assumed.
+goes to the kernel of its field: bit-packed rows over GF(2), mod p
+elimination over GF(p), and over Q fraction-free Bareiss elimination once
+each row is scaled by the lcm of its denominators.  Multiplication matrices
+of the exterior face ring split this way, one block per face outside the
+support of the multiplier, but the split is read off the entries, not
+assumed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import lcm
 
 from .fields import Field
 from .poly import Poly
@@ -109,30 +111,16 @@ def _rank_int_bareiss(rows):
     return rank
 
 
-def _rank_fraction(rows, field):
-    work = [[field.of(e) for e in row] for row in rows]
-    m, n = len(work), len(work[0])
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        prow = work[row]
-        inv = 1 / prow[col]
-        for i in range(row + 1, m):
-            c = work[i][col]
-            if c != 0:
-                f = c * inv
-                wi = work[i]
-                for j in range(col, n):
-                    wi[j] = wi[j] - f * prow[j]
-        row += 1
-        rank += 1
-        if row == m:
-            break
-    return rank
+def _integral_rows(rows, field):
+    # Scaling a row by the lcm of its denominators leaves the rank unchanged.
+    # Entries other than ints and Fractions go through the field, so a float
+    # is read exactly.
+    out = []
+    for row in rows:
+        row = [e if isinstance(e, (int, Fraction)) else field.of(e) for e in row]
+        den = lcm(*[e.denominator for e in row])
+        out.append([e.numerator * (den // e.denominator) for e in row])
+    return out
 
 
 def _blocks(rows):
@@ -182,17 +170,15 @@ def _block_rank(rows, field):
         return _rank_gf2(rows)
     if field.char > 0:
         return _rank_mod_p(rows, field.char)
-    if all(isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1)
-           for row in rows for e in row):
-        return _rank_int_bareiss([[int(e) for e in row] for row in rows])
-    return _rank_fraction(rows, field)
+    return _rank_int_bareiss(_integral_rows(rows, field))
 
 
 def rank(rows, field: Field) -> int:
     """Rank of a matrix with entries in the given field.
 
-    Entries may be ints or Fractions in any characteristic; over GF(p) a
-    Fraction whose denominator p divides raises ``ZeroDivisionError``.
+    Entries may be ints or Fractions in any characteristic; over Q any other
+    number is read exactly through ``Fraction``, and over GF(p) a Fraction
+    whose denominator p divides raises ``ZeroDivisionError``.
     """
     if not rows or not rows[0]:
         return 0

@@ -1,7 +1,9 @@
 """Truncated power series with exact rational coefficients.
 
 A ``Series`` carries its truncation order explicitly: ``coeffs`` always has
-length ``order + 1`` and every operation stays within that order.
+length ``order + 1`` and every operation stays within that order.  The
+library computes no series; this class serves only the independent check
+of the LCS ranks, the product identity prod_k (1-t^k)^(phi_k) = P(-t)/(1-t).
 """
 
 from __future__ import annotations
@@ -30,36 +32,12 @@ class Series:
         return cls(tuple(cs))
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls.from_coeffs((), order)
-
-    @classmethod
     def one(cls, order: int) -> "Series":
         return cls.from_coeffs((1,), order)
 
-    @classmethod
-    def t(cls, order: int) -> "Series":
-        return cls.from_coeffs((0, 1), order)
-
-    @classmethod
-    def geometric_shifted(cls, order: int) -> "Series":
-        """t/(1-t) = t + t^2 + ... truncated."""
-        return cls.from_coeffs((0,) + (1,) * order, order)
-
-    def _check(self, other: "Series"):
+    def __mul__(self, other):
         if self.order != other.order:
             raise ValueError("series truncation orders differ")
-
-    def __add__(self, other):
-        self._check(other)
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        self._check(other)
         k = self.order
         out = [Fraction(0)] * (k + 1)
         for i, a in enumerate(self.coeffs):
@@ -85,9 +63,6 @@ class Series:
             out[i] = -inv0 * acc
         return Series(tuple(out))
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def pow(self, e: int) -> "Series":
         if e < 0:
             return self.inverse().pow(-e)
@@ -99,27 +74,3 @@ class Series:
             base = base * base
             e >>= 1
         return result
-
-    def compose(self, inner: "Series") -> "Series":
-        """self(inner); ``inner`` must have zero constant term."""
-        self._check(inner)
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition requires inner series with zero constant term")
-        k = self.order
-        result = Series.zero(k)
-        power = Series.one(k)
-        for c in self.coeffs:
-            if c != 0:
-                result = result + Series(tuple(c * x for x in power.coeffs))
-            power = power * inner
-        return result
-
-
-def series_compose(outer_coeffs, inner: Series, order: int) -> Series:
-    """Coefficients of outer(inner) up to the given order.
-
-    ``outer_coeffs`` is any coefficient sequence (e.g. an integer polynomial,
-    ascending); ``inner`` must have zero constant term.
-    """
-    outer = Series.from_coeffs(outer_coeffs, order)
-    return outer.compose(Series.from_coeffs(inner.coeffs, order))

@@ -1,10 +1,12 @@
 """Graded Lie algebra ranks attached to a graph and its Artin kernels.
 
 Ranks of the lower central series and Chen quotients come from the clique
-and cut polynomials through exact generating-function extraction; degree
+and cut polynomials by integer recurrences: the LCS ranks by the
+log-derivative (Witt-formula) recursion for prod_k (1-t^k)^(phi_k), the
+Chen ranks as binomial sums of the cut polynomial; degree
 one-through-three holonomy dimensions come from a normalized spanning set of
-the free Lie algebra in bracket length three.  Extraction refuses rather
-than rounds when a coefficient fails to be a non-negative integer, since
+the free Lie algebra in bracket length three.  The LCS recursion refuses
+rather than rounds when a rank fails to be a non-negative integer, since
 integrality is guaranteed by the governing hypotheses.
 """
 
@@ -12,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .aomoto import DegreeOneClass, truncated_quotient, QuotientRing
 from .exact.fields import QQ
 from .exact.matrices import rank as matrix_rank, row_echelon
-from .exact.series import Series
 from .jumploci import resonance_membership
 from .kernels import HypothesisRefusal
 from .simplicial import Graph, SimplicialComplex, bits
@@ -40,24 +41,7 @@ class GradedRanks:
 
 def clique_polynomial(gamma: Graph) -> tuple[int, ...]:
     """Coefficients of the clique-counting polynomial, ascending from f_0 = 1."""
-    counts = [1, gamma.n]
-    layer = [1 << v for v in range(gamma.n)]
-    while layer:
-        nxt = set()
-        for m in layer:
-            common = (1 << gamma.n) - 1
-            for v in bits(m):
-                common &= gamma.adj[v]
-            top = m.bit_length() - 1
-            for w in bits(common >> (top + 1) << (top + 1)):
-                nxt.add(m | (1 << w))
-        if not nxt:
-            break
-        counts.append(len(nxt))
-        layer = sorted(nxt)
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
+    return SimplicialComplex.flag_complex(gamma).face_counts()
 
 
 def cut_polynomial(gamma: Graph, cap: int = CUT_VERTEX_CAP) -> tuple[int, ...]:
@@ -76,63 +60,61 @@ def cut_polynomial(gamma: Graph, cap: int = CUT_VERTEX_CAP) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _alternate(coeffs) -> list[int]:
-    return [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
+def _check_order(order: int):
+    if not 0 <= order <= 30:
+        raise ValueError(f"rank extraction needs 0 <= order <= 30, got {order}")
 
 
-def _extract_exponents(target: Series, order: int, kind: str) -> list[int]:
-    # Solve prod_k (1-t^k)^(phi_k) = target degree by degree.
-    current = Series.one(order)
+def _clique_alternating(gamma: Graph, order: int) -> list[int]:
+    """P(-t) for the clique polynomial P, truncated after t^order."""
+    p = clique_polynomial(gamma)[: order + 1]
+    return [-c if k % 2 else c for k, c in enumerate(p)] + [0] * (order + 1 - len(p))
+
+
+def _extract_exponents(target, order: int, kind: str) -> list[int]:
+    """The phi_k with prod_k (1-t^k)^(phi_k) = target through degree order.
+
+    ``target`` holds integer coefficients with target[0] = 1.  Applying
+    t d/dt log to both sides gives a_n = -[t^n] t target'/target =
+    sum_{k | n} k phi_k, so phi_n follows from the phi_k with k < n.
+    """
+    inv = [1] + [0] * order
+    for n in range(1, order + 1):
+        inv[n] = -sum(target[j] * inv[n - j] for j in range(1, n + 1))
     phis = []
-    for k in range(1, order + 1):
-        q = target / current
-        for j in range(1, k):
-            if q.coeffs[j] != 0:
-                raise ArithmeticError(f"{kind} extraction failed at degree {j}")
-        c = -q.coeffs[k]
-        if c.denominator != 1 or c < 0:
+    for n in range(1, order + 1):
+        a = -sum(j * target[j] * inv[n - j] for j in range(1, n + 1))
+        s = a - sum(k * phis[k - 1] for k in range(1, n) if n % k == 0)
+        if s < 0 or s % n:
             raise ArithmeticError(
-                f"{kind} rank at degree {k} is {c}, not a non-negative integer; "
-                "the triviality hypothesis is violated")
-        phi = int(c)
-        phis.append(phi)
-        if phi:
-            one_minus_tk = Series.from_coeffs((1,) + (0,) * (k - 1) + (-1,), order)
-            current = current * one_minus_tk.pow(phi)
+                f"{kind} rank at degree {n} is {Fraction(s, n)}, not a non-negative "
+                "integer; the triviality hypothesis is violated")
+        phis.append(s // n)
     return phis
 
 
 def lcs_ranks(gamma: Graph, order: int) -> GradedRanks:
     """Lower-central-series ranks of the diagonal kernel, valid when its
     first homology carries a trivial deck action (e.g. a connected graph)."""
-    if order > 30:
-        raise ValueError("rank extraction is limited to order 30")
-    p_alt = _alternate(clique_polynomial(gamma))
-    target = Series.from_coeffs(p_alt, order) / Series.from_coeffs((1, -1), order)
+    _check_order(order)
+    target = list(accumulate(_clique_alternating(gamma, order)))  # P(-t)/(1-t)
     return GradedRanks("LCS", 1, tuple(_extract_exponents(target, order, "LCS")))
 
 
 def chen_ranks(gamma: Graph, order: int) -> GradedRanks:
-    """Chen ranks from the cut polynomial composed with t/(1-t)."""
-    if order > 30:
-        raise ValueError("rank extraction is limited to order 30")
-    q = Series.from_coeffs(cut_polynomial(gamma), order)
-    theta = q.compose(Series.geometric_shifted(order))
-    values = []
-    for k in range(2, order + 1):
-        c = theta.coeffs[k]
-        if c.denominator != 1 or c < 0:
-            raise ArithmeticError(f"Chen rank at degree {k} is {c}, not a "
-                                  "non-negative integer")
-        values.append(int(c))
-    return GradedRanks("CHEN", 2, tuple(values))
+    """Chen ranks from the cut polynomial composed with t/(1-t):
+    [t^k] sum_j c_j (t/(1-t))^j = sum_j c_j C(k-1, j-1)."""
+    _check_order(order)
+    c = cut_polynomial(gamma)
+    return GradedRanks("CHEN", 2, tuple(
+        sum(cj * comb(k - 1, j - 1) for j, cj in enumerate(c) if j)
+        for k in range(2, order + 1)))
 
 
 def raag_lcs_ranks(gamma: Graph, order: int) -> GradedRanks:
     """Lower-central-series ranks of the ambient right-angled group itself."""
-    if order > 30:
-        raise ValueError("rank extraction is limited to order 30")
-    target = Series.from_coeffs(_alternate(clique_polynomial(gamma)), order)
+    _check_order(order)
+    target = _clique_alternating(gamma, order)
     return GradedRanks("LCS", 1, tuple(_extract_exponents(target, order, "LCS")))
 
 

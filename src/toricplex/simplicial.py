@@ -297,9 +297,21 @@ class SimplicialComplex:
     def __hash__(self):
         return hash((self.n, self.faces))
 
+    def maximal_faces(self) -> list[int]:
+        """Nonempty faces contained in no other face, ascending as masks."""
+        return sorted(f for f in self.faces
+                      if f and not any(g != f and g & f == f for g in self.faces))
+
     def __repr__(self):
-        counts = ", ".join(str(c) for c in self.face_counts())
-        return f"SimplicialComplex(n={self.n}, d=({counts}))"
+        """A ``from_maximal_faces`` call that rebuilds the complex.
+
+        ``from_maximal_faces`` makes every universe slot a vertex, so a link
+        or induced subcomplex with slots that are not vertices does not
+        round-trip.
+        """
+        faces = [bits(f) for f in self.maximal_faces()]
+        labels = "" if self.labels == default_labels(self.n) else f", labels={self.labels!r}"
+        return f"SimplicialComplex.from_maximal_faces({faces}, {self.n}{labels})"
 
 
 # -- chain complexes and homology -----------------------------------------
@@ -433,12 +445,10 @@ def parse_complex(text: str) -> SimplicialComplex:
 
 def format_complex(L: SimplicialComplex, header: str | None = None) -> str:
     """Serialize a complex as its maximal faces."""
-    maximal = [f for f in L.faces
-               if f and not any(g != f and g & f == f for g in L.faces)]
     out = []
     if header:
         out.append(f"# {header}")
     out.append("vertices: " + " ".join(L.labels))
-    for f in sorted(maximal):
+    for f in L.maximal_faces():
         out.append(" ".join(L.labels[v] for v in bits(f)))
     return "\n".join(out) + "\n"

@@ -171,3 +171,13 @@ class TestUsageErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 64
+
+    def test_class_without_value(self, capsys, fixture_dir):
+        code, _, err = run(capsys, [
+            "aomoto", str(fixture_dir / "path3.cplx"), "--z", "a=1,b"])
+        assert code == 64 and "'b'" in err and "label=value" in err
+
+    def test_negative_lie_order(self, capsys, fixture_dir):
+        code, _, err = run(capsys, [
+            "lie", str(fixture_dir / "path3.cplx"), "-K", "-1"])
+        assert code == 64 and "order" in err

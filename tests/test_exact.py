@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from toricplex.exact import (
     GF, QQ, Field, Poly, Series, cyclotomic, poly_ord, rank,
-    series_compose, snf_int, snf_poly, t_power_minus_one,
+    snf_int, snf_poly, t_power_minus_one,
 )
 
 from helpers import (
@@ -227,21 +227,6 @@ class TestCyclotomic:
 
 
 class TestSeries:
-    def test_compose_examples(self):
-        inner = Series.geometric_shifted(5)
-        out = series_compose([0, 0, 2], inner, 5)
-        assert out.coeffs == (0, 0, 2, 4, 6, 8)
-        out = series_compose([0, 0, 1], Series.geometric_shifted(4), 4)
-        assert out.coeffs == (0, 0, 1, 2, 3)
-
-    def test_identity_compose(self):
-        t = Series.t(6)
-        assert series_compose([0, 1], t, 6).coeffs == t.coeffs
-
-    def test_nonzero_constant_rejected(self):
-        with pytest.raises(ValueError):
-            series_compose([1], Series.one(3), 3)
-
     def test_inverse(self):
         s = Series.from_coeffs([1, -1], 6)
         assert (s * s.inverse()).coeffs == Series.one(6).coeffs

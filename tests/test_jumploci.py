@@ -33,6 +33,21 @@ def complexes(draw, n_max=7):
     return SimplicialComplex.from_maximal_faces(draw(st.lists(face, max_size=2 * n)), n)
 
 
+class TestComplexRepr:
+    # A falsifying example over complexes prints as a call that rebuilds it.
+    @given(complexes())
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip(self, L):
+        assert eval(repr(L), {"SimplicialComplex": SimplicialComplex}) == L
+
+    def test_custom_labels(self):
+        L = SimplicialComplex.from_maximal_faces([[0, 1], [1, 2]], 4, ("x", "y", "z", "w"))
+        assert repr(L) == ("SimplicialComplex.from_maximal_faces([[0, 1], [1, 2], [3]], 4, "
+                           "labels=('x', 'y', 'z', 'w'))")
+        rebuilt = eval(repr(L), {"SimplicialComplex": SimplicialComplex})
+        assert rebuilt == L and rebuilt.labels == L.labels
+
+
 class TestStrata:
     def test_two_k2(self):
         L = two_k2()

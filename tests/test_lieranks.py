@@ -11,11 +11,11 @@ from toricplex.kernels import HypothesisRefusal
 from toricplex.lieranks import (
     GradedRanks, HolonomyPresentation, chen_ranks, clique_polynomial,
     cut_polynomial, face_ring_presentation, holonomy_dims, lcs_ranks,
-    quotient_holonomy_check, raag_lcs_ranks,
+    _extract_exponents, quotient_holonomy_check, raag_lcs_ranks,
 )
 from toricplex.simplicial import Graph, SimplicialComplex
 
-from helpers import witt
+from helpers import expand_rational_series, witt
 from test_jumploci import random_connected_graph
 
 
@@ -52,10 +52,16 @@ class TestLcsRanks:
         assert phi[1] == 3 and phi[2] == 2
 
     def test_raag_ranks_free_and_abelian(self):
-        phi = raag_lcs_ranks(Graph(3, []), 7)  # discrete graph: free group F_3
-        assert phi.values == tuple(witt(3, k) for k in range(1, 8))
+        for order in (7, 30):
+            phi = raag_lcs_ranks(Graph(3, []), order)  # discrete graph: free group F_3
+            assert phi.values == tuple(witt(3, k) for k in range(1, order + 1))
         phi = raag_lcs_ranks(Graph.complete(4), 5)
         assert phi.values == (4, 0, 0, 0, 0)
+
+    def test_negative_rank_refused(self):
+        # 1 + t agrees with (1 - t)^(-1) through degree 1.
+        with pytest.raises(ArithmeticError, match="degree 1 is -1, not a non-negative"):
+            _extract_exponents([1, 1], 1, "LCS")
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=25, deadline=None)
@@ -73,6 +79,19 @@ class TestLcsRanks:
         assert prod.coeffs == Series.from_coeffs(p_alt, order).coeffs
 
 
+class TestOrderRange:
+    @pytest.mark.parametrize("ranks", [lcs_ranks, raag_lcs_ranks, chen_ranks])
+    def test_range(self, ranks):
+        for order in (-1, 31):
+            with pytest.raises(ValueError):
+                ranks(Graph.path(3), order)
+        assert ranks(Graph.path(3), 0).values == ()
+
+
+def _times_one_minus_t(p):
+    return [a - b for a, b in zip(p + [0], [0] + p)]
+
+
 class TestChenRanks:
     def test_path(self):
         theta = chen_ranks(Graph.path(3), 8)
@@ -84,6 +103,29 @@ class TestChenRanks:
 
     def test_complete(self):
         assert chen_ranks(Graph.complete(4), 6).values == (0,) * 5
+
+    @given(st.integers(0, 100_000), st.sampled_from([0, 10, 30]))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_rational_series(self, seed, order):
+        # Q(t/(1-t)) = sum_j c_j t^j (1-t)^(m-j) / (1-t)^m, m = deg Q,
+        # expanded by long division.
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        g = Graph(n, {(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.4})
+        c = cut_polynomial(g)
+        m = max(len(c) - 1, 0)
+        num = [0] * (m + 1)
+        for j, cj in enumerate(c):
+            term = [0] * j + [cj]
+            for _ in range(m - j):
+                term = _times_one_minus_t(term)
+            num = [a + b for a, b in zip(num, term + [0] * (m + 1 - len(term)))]
+        den = [1]
+        for _ in range(m):
+            den = _times_one_minus_t(den)
+        theta = expand_rational_series(num, den, order)
+        assert chen_ranks(g, order).values == tuple(theta[2:])
 
     def test_tree_specialization(self):
         # Trees on 3 vertices have the Chen ranks of the free group F_2.
