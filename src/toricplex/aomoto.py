@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact.fields import Field
-from .exact.matrices import rank, reduce_against_echelon, row_echelon
+from .exact.matrices import rank, row_echelon
 from .simplicial import SimplicialComplex, bits, reduced_dims
 
 
@@ -156,9 +156,10 @@ def beta1_closed_form(L: SimplicialComplex, w_mask: int) -> int:
 class QuotientRing:
     """Truncated quotient of the face ring by a degree-one class.
 
-    ``basis`` holds the coset-representative monomials per degree (chosen by
-    Gaussian elimination over the monomial basis); ``products`` maps pairs of
-    basis indices to coordinate vectors over the basis in the product degree.
+    ``basis`` holds the coset-representative monomials per degree: the
+    non-pivot monomials of the reduced row echelon form of the image of the
+    class.  ``products`` maps pairs of basis indices to coordinate vectors
+    over the basis in the product degree, read off the same reduced form.
     """
 
     field: Field
@@ -184,47 +185,48 @@ class QuotientRing:
 
 def truncated_quotient(L: SimplicialComplex, z: DegreeOneClass, field: Field,
                        r: int) -> QuotientRing:
-    """Graded basis and structure constants of the face ring modulo (z)."""
+    """Graded basis and structure constants of the face ring modulo (z).
+
+    In each degree the image of multiplication by z is brought to reduced row
+    echelon form over the monomials, and every normal form is read off it: a
+    non-pivot monomial is its own basis vector, and the monomial at pivot
+    column c is -sum_j row_c[j] m_j over the non-pivot columns j.  The
+    product of basis monomials m_a, m_b is merge_sign(m_a, m_b) times the
+    normal form of m_a | m_b, and zero when the faces meet or their union is
+    not a face.  The class must lie over ``field``.
+    """
     if r < 0:
         raise ValueError("truncation degree must be nonnegative")
+    if z.field != field:
+        raise ValueError(f"the class lies over {z.field}, the quotient is taken over {field}")
     by_size = L.faces_by_size()
-    echelons = {}
     basis = [(0,)]  # degree 0: the unit monomial
+    normal_forms = {}  # degree -> {monomial: ((basis index, coeff), ...)}
     for i in range(1, r + 1):
         monomials = by_size[i] if i < len(by_size) else ()
-        lower = by_size[i - 1] if i - 1 < len(by_size) else ()
-        image = []
-        if monomials and lower:
-            mat = multiplication_matrix(L, z, i - 1)
-            for col in range(len(lower)):
-                vec = [mat[row][col] for row in range(len(monomials))]
-                if any(not field.is_zero(e) for e in vec):
-                    image.append(vec)
+        image = [list(col) for col in zip(*multiplication_matrix(L, z, i - 1)) if any(col)]
         echelon, pivots = row_echelon(image, field)
-        echelons[i] = (echelon, pivots, monomials)
-        basis.append(tuple(m for c, m in enumerate(monomials) if c not in set(pivots)))
+        pivot_set = set(pivots)
+        free = [c for c in range(len(monomials)) if c not in pivot_set]
+        basis.append(tuple(monomials[c] for c in free))
+        forms = {monomials[c]: ((k, field.one),) for k, c in enumerate(free)}
+        for row, c in zip(echelon, pivots):
+            forms[monomials[c]] = tuple((k, field.neg(row[j])) for k, j in enumerate(free) if row[j])
+        normal_forms[i] = forms
     products = {}
     for i in range(1, r):
         for j in range(1, r + 1 - i):
+            forms = normal_forms[i + j]
+            zero = (field.zero,) * len(basis[i + j])
             for a, ma in enumerate(basis[i]):
                 for b, mb in enumerate(basis[j]):
-                    products[(i, a, j, b)] = _reduced_product(
-                        L, field, echelons, basis, i, ma, j, mb)
+                    form = None if ma & mb else forms.get(ma | mb)
+                    if not form:
+                        products[(i, a, j, b)] = zero
+                        continue
+                    coords = list(zero)
+                    negate = merge_sign(ma, mb) < 0
+                    for k, c in form:
+                        coords[k] = field.neg(c) if negate else c
+                    products[(i, a, j, b)] = tuple(coords)
     return QuotientRing(field, r, tuple(basis), products)
-
-
-def _reduced_product(L, field, echelons, basis, i, ma, j, mb):
-    degree = i + j
-    target_basis = basis[degree]
-    coords = [field.zero] * len(target_basis)
-    if ma & mb or not L.has_face(ma | mb):
-        return tuple(coords)
-    echelon, pivots, monomials = echelons[degree]
-    vec = [field.zero] * len(monomials)
-    vec[monomials.index(ma | mb)] = field.of(merge_sign(ma, mb))
-    vec = reduce_against_echelon(vec, echelon, pivots, field)
-    index_in_basis = {m: k for k, m in enumerate(target_basis)}
-    for col, c in enumerate(vec):
-        if not field.is_zero(c):
-            coords[index_in_basis[monomials[col]]] = c
-    return tuple(coords)

@@ -3,7 +3,9 @@
 Scalars are plain Python values: ``fractions.Fraction`` in characteristic 0,
 ``int`` in the range ``[0, p)`` in characteristic p.  A ``Field`` instance
 bundles the arithmetic so matrix and polynomial code stays generic.
-No floating point is used anywhere.
+A number that is neither an int nor a Fraction (a float, say) is read
+exactly through ``Fraction`` before it enters any field, so no arithmetic is
+done in floating point.
 """
 
 from __future__ import annotations
@@ -65,14 +67,21 @@ class Field:
         return Fraction(1) if self.char == 0 else 1
 
     def of(self, value):
-        """Coerce an int or Fraction into this field."""
+        """Coerce a number into this field.
+
+        Ints and Fractions are read directly; any other number goes through
+        ``Fraction(value)`` first, in every characteristic.  Over
+        GF(p) a Fraction whose denominator p divides raises
+        ``ZeroDivisionError``.
+        """
         if self.char == 0:
             return Fraction(value)
-        if isinstance(value, Fraction):
-            if value.denominator % self.char == 0:
-                raise ZeroDivisionError(f"{value} has no image in GF({self.char})")
-            return (value.numerator * pow(value.denominator, -1, self.char)) % self.char
-        return value % self.char
+        if isinstance(value, int):
+            return value % self.char
+        value = Fraction(value)
+        if value.denominator % self.char == 0:
+            raise ZeroDivisionError(f"{value} has no image in GF({self.char})")
+        return (value.numerator * pow(value.denominator, -1, self.char)) % self.char
 
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char

@@ -1,5 +1,5 @@
-"""Exact dense matrix routines: rank over a field, Smith normal form over Z
-and over k[t].
+"""Exact matrix routines: rank and reduced row echelon form over a field,
+Smith normal form over Z and over k[t].
 
 Matrices are lists of rows; an empty matrix (no rows or no columns) is legal
 everywhere and has rank 0.  All arithmetic is exact.
@@ -14,6 +14,13 @@ each row is scaled by the lcm of its denominators.  Multiplication matrices
 of the exterior face ring split this way, one block per face outside the
 support of the multiplier, but the split is read off the entries, not
 assumed.
+
+``row_echelon`` holds its rows sparse, as ``{column: nonzero value}`` dicts
+with plain ints mod p over GF(p) and Fractions over Q.  Each input row is
+reduced against the pivot rows kept so far, normalized to a leading 1 if it
+is still nonzero, and then eliminated from the kept rows, so the kept rows
+stay fully reduced and are emitted dense in pivot order.  The reduced form
+is unique, so the order of the input rows does not change the result.
 """
 
 from __future__ import annotations
@@ -176,9 +183,9 @@ def _block_rank(rows, field):
 def rank(rows, field: Field) -> int:
     """Rank of a matrix with entries in the given field.
 
-    Entries may be ints or Fractions in any characteristic; over Q any other
-    number is read exactly through ``Fraction``, and over GF(p) a Fraction
-    whose denominator p divides raises ``ZeroDivisionError``.
+    Entries may be ints or Fractions in any characteristic; any other number
+    is read exactly through ``Fraction``, and over GF(p) a Fraction whose
+    denominator p divides raises ``ZeroDivisionError``.
     """
     if not rows or not rows[0]:
         return 0
@@ -188,52 +195,61 @@ def rank(rows, field: Field) -> int:
     return sum(_block_rank(block, field) for block in _blocks(rows))
 
 
+def _subtract(target, f, source, p):
+    # target -= f * source in place, mod p when p > 0; zeros are dropped.
+    for j, e in source.items():
+        x = target.get(j, 0) - f * e
+        if p:
+            x %= p
+        if x:
+            target[j] = x
+        else:
+            del target[j]
+
+
+def _rref_sparse(vectors, p):
+    # Rows are {column: nonzero value}: ints in [1, p) over GF(p), Fractions
+    # over Q (p = 0).  A kept row has a 1 at its pivot and 0 in every other
+    # kept row's pivot column.
+    kept = {}
+    for vec in vectors:
+        for c in [c for c in vec if c in kept]:
+            _subtract(vec, vec[c], kept[c], p)
+        if not vec:
+            continue
+        lead = min(vec)
+        if vec[lead] != 1:
+            inv = pow(vec[lead], -1, p) if p else 1 / vec[lead]
+            vec = {j: e * inv % p if p else e * inv for j, e in vec.items()}
+        for row in kept.values():
+            if lead in row:
+                _subtract(row, row[lead], vec, p)
+        kept[lead] = vec
+    return kept
+
+
 def row_echelon(rows, field: Field):
     """Reduced row echelon form.
 
-    Returns (echelon_rows, pivot_columns); zero rows are dropped and pivot
-    entries are normalized to 1.
+    Returns (echelon_rows, pivot_columns): the nonzero rows of the reduced
+    form, dense and in pivot order, each with 1 at its pivot.  Entries are
+    coerced as by ``Field.of``: ints in [0, p) over GF(p), Fractions over Q.
     """
     if not rows or not rows[0]:
         return [], []
-    work = [[field.of(e) for e in row] for row in rows]
-    n = len(work[0])
+    vectors = []
+    for row in rows:
+        vec = {j: field.of(e) for j, e in enumerate(row) if e}
+        vectors.append({j: e for j, e in vec.items() if e})
+    kept = _rref_sparse(vectors, field.char)
+    pivots = sorted(kept)
     echelon = []
-    pivots = []
-    for col in range(n):
-        piv = next((i for i, r in enumerate(work) if not field.is_zero(r[col])), None)
-        if piv is None:
-            continue
-        prow = work.pop(piv)
-        inv = field.inv(prow[col])
-        prow = [field.mul(inv, e) for e in prow]
-        for r in work:
-            c = r[col]
-            if not field.is_zero(c):
-                for j in range(n):
-                    r[j] = field.sub(r[j], field.mul(c, prow[j]))
-        for r in echelon:
-            c = r[col]
-            if not field.is_zero(c):
-                for j in range(n):
-                    r[j] = field.sub(r[j], field.mul(c, prow[j]))
-        echelon.append(prow)
-        pivots.append(col)
-        work = [r for r in work if any(not field.is_zero(e) for e in r)]
-        if not work:
-            break
+    for c in pivots:
+        dense = [field.zero] * len(rows[0])
+        for j, e in kept[c].items():
+            dense[j] = e
+        echelon.append(dense)
     return echelon, pivots
-
-
-def reduce_against_echelon(vec, echelon, pivots, field: Field):
-    """Subtract echelon rows to zero out the pivot coordinates of ``vec``."""
-    out = [field.of(e) for e in vec]
-    for row, col in zip(echelon, pivots):
-        c = out[col]
-        if not field.is_zero(c):
-            for j in range(len(out)):
-                out[j] = field.sub(out[j], field.mul(c, row[j]))
-    return out
 
 
 def snf_int(rows) -> SmithForm:

@@ -19,7 +19,7 @@ from math import comb
 
 from .aomoto import DegreeOneClass, truncated_quotient, QuotientRing
 from .exact.fields import QQ
-from .exact.matrices import rank as matrix_rank, row_echelon
+from .exact.matrices import rank as matrix_rank
 from .jumploci import resonance_membership
 from .kernels import HypothesisRefusal
 from .simplicial import Graph, SimplicialComplex, bits
@@ -211,10 +211,8 @@ def holonomy_dims(pres: HolonomyPresentation, up_to: int = 3) -> GradedRanks:
         raise ValueError("holonomy dimensions are computed for degrees 1..3")
     n = pres.n
     dims = [n]
-    echelon, _ = row_echelon([list(r) for r in pres.relations], QQ)
-    dim_a2 = len(echelon)
     if up_to >= 2:
-        dims.append(comb(n, 2) - dim_a2)
+        dims.append(comb(n, 2) - matrix_rank([list(r) for r in pres.relations], QQ))
     if up_to >= 3:
         pairs, pair_idx = _pair_index(n)
         basis, basis_idx = _lie3_basis(n)

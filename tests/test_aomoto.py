@@ -1,15 +1,17 @@
 import itertools
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricplex.aomoto import (
     DegreeOneClass, aomoto_betti_aah, aomoto_betti_direct, beta1_closed_form,
-    truncated_quotient,
+    multiplication_matrix, truncated_quotient,
 )
-from toricplex.exact import GF, QQ
-from toricplex.simplicial import SimplicialComplex, mask_of, toric_betti
+from toricplex.exact import GF, QQ, rank
+from toricplex.simplicial import SimplicialComplex, bits, mask_of, toric_betti
 
 from test_simplicial import path3, random_complex, two_k2
 
@@ -27,6 +29,15 @@ def all_complexes_on_4_vertices():
         if all((f ^ (1 << v)) in faces for f in chosen for v in range(4) if f >> v & 1):
             out.append(SimplicialComplex(4, faces, _trusted=True))
     return out
+
+
+class TestDegreeOneClass:
+    def test_float_coefficients(self):
+        # Read through Fraction: 0.5 is 1/2, which is 2 in GF(3).
+        assert DegreeOneClass(GF(3), (0.5, 1)).coeffs == (2, 1)
+        assert DegreeOneClass(QQ, (0.5, 1)).coeffs == (Fraction(1, 2), 1)
+        with pytest.raises(ZeroDivisionError):
+            DegreeOneClass(GF(2), (0.5, 1))
 
 
 class TestDirect:
@@ -163,3 +174,67 @@ class TestTruncatedQuotient:
         assert all(a == -b for a, b in zip(prod, back))
         # Squares vanish.
         assert all(c == 0 for c in q.product(1, 0, 1, 0))
+
+    def test_mixed_fields_refused(self):
+        # GF(3)'s -1 is 2, which in a rational matrix would be a wrong entry.
+        hollow = SimplicialComplex.from_maximal_faces([[0, 1], [1, 2], [0, 2]], 3)
+        for field in (QQ, GF(3)):
+            z = DegreeOneClass(field, (1, 1, 1))
+            assert truncated_quotient(hollow, z, field, 2).dims == (1, 2, 1)
+        with pytest.raises(ValueError):
+            truncated_quotient(hollow, DegreeOneClass(GF(3), (1, 1, 1)), QQ, 2)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=30, deadline=None)
+    def test_products_against_image(self, seed):
+        # In each degree d the basis monomials must span a complement of the
+        # image of z, and every product sign * m_a m_b - sum_k coords_k basis_k
+        # must lie in that image; both are checked by exact.rank alone.
+        rng = random.Random(seed)
+        field = rng.choice(FIELDS)
+        L = random_complex(rng, n_max=6)
+        if rng.random() < 0.5:
+            L = L.cone()
+            z = DegreeOneClass.from_weights(field, (1,) * L.n)
+        elif field.char == 0:
+            z = DegreeOneClass(field, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                       for _ in range(L.n)])
+        else:
+            z = DegreeOneClass(field, [rng.randrange(field.char) for _ in range(L.n)])
+        r = 3
+        q = truncated_quotient(L, z, field, r)
+        by_size = L.faces_by_size()
+        for d in range(1, r + 1):
+            monomials = by_size[d] if d < len(by_size) else ()
+            index = {m: c for c, m in enumerate(monomials)}
+            image = [list(col) for col in zip(*multiplication_matrix(L, z, d - 1))]
+            image_rank = rank(image, field)
+
+            def unit(m):
+                vec = [0] * len(monomials)
+                vec[index[m]] = 1
+                return vec
+
+            assert len(q.basis[d]) + image_rank == len(monomials)
+            assert rank(image + [unit(m) for m in q.basis[d]], field) == len(monomials)
+            residues = []
+            for i in range(1, d):
+                j = d - i
+                for a, ma in enumerate(q.basis[i]):
+                    for b, mb in enumerate(q.basis[j]):
+                        coords = q.product(i, a, j, b)
+                        assert len(coords) == len(q.basis[d])
+                        vec = [0] * len(monomials)
+                        if not ma & mb and (ma | mb) in index:
+                            vec = [_concatenation_sign(ma, mb) * e for e in unit(ma | mb)]
+                        for k, m in enumerate(q.basis[d]):
+                            vec[index[m]] -= coords[k]
+                        residues.append(vec)
+            assert rank(image + residues, field) == image_rank, (L, z, d)
+
+
+def _concatenation_sign(left, right):
+    """Sign of the permutation sorting bits(left) + bits(right), by counting inversions."""
+    word = bits(left) + bits(right)
+    inversions = sum(1 for x, y in itertools.combinations(word, 2) if x > y)
+    return -1 if inversions % 2 else 1

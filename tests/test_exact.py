@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricplex.exact import (
-    GF, QQ, Field, Poly, Series, cyclotomic, poly_ord, rank,
+    GF, QQ, Field, Poly, Series, cyclotomic, poly_ord, rank, row_echelon,
     snf_int, snf_poly, t_power_minus_one,
 )
 
@@ -31,6 +31,14 @@ class TestField:
         with pytest.raises(ValueError):
             Field(6)
 
+    def test_float_read_through_fraction(self):
+        # 0.5 is read as 1/2 in every field: 2 in GF(3), no image in GF(2).
+        assert QQ.of(0.5) == Fraction(1, 2)
+        assert GF(3).of(0.5) == 2
+        assert GF(3).of(-2.0) == 1 and type(GF(3).of(-2.0)) is int
+        with pytest.raises(ZeroDivisionError):
+            GF(2).of(0.5)
+
 
 class TestRank:
     def test_identity(self):
@@ -54,6 +62,13 @@ class TestRank:
         assert rank([[Fraction(1, 2)]], GF(3)) == 1
         with pytest.raises(ZeroDivisionError):
             rank([[Fraction(1, 2)]], GF(2))
+
+    def test_floats(self):
+        rows = [[0.5, 1], [1, 2]]
+        assert rank(rows, QQ) == 1
+        assert rank(rows, GF(3)) == 1
+        with pytest.raises(ZeroDivisionError):
+            rank(rows, GF(2))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -109,6 +124,53 @@ class TestRank:
         swapped = [[row[j] for j in cols] for row in rows]
         for f in (QQ, GF(2), GF(3)):
             assert rank(swapped, f) == base[f.char]
+
+
+@st.composite
+def field_matrices(draw):
+    """A field and a matrix over it, with zero rows and columns mixed in."""
+    field = draw(st.sampled_from((QQ, GF(2), GF(3))))
+    entry = st.integers(-3, 3)
+    if field.char == 0:
+        entry = st.one_of(entry, st.fractions(-3, 3, max_denominator=4))
+    entry = st.one_of(st.just(0), entry)
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    if rows and n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        rows = [row[:j] + [0] + row[j + 1:] for row in rows]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    return field, rows
+
+
+class TestRowEchelon:
+    def test_empty(self):
+        assert row_echelon([], QQ) == ([], [])
+        assert row_echelon([[]], GF(2)) == ([], [])
+        assert row_echelon([[0, 0], [0, 0]], GF(3)) == ([], [])
+
+    def test_example(self):
+        rows = [[0, 2, 4, 1], [0, 1, 2, Fraction(1, 3)], [3, 0, 0, 3]]
+        echelon, pivots = row_echelon(rows, QQ)
+        assert pivots == [0, 1, 3]
+        assert echelon == [[1, 0, 0, 0], [0, 1, 2, 0], [0, 0, 0, 1]]
+        assert all(type(e) is Fraction for row in echelon for e in row)
+        assert row_echelon([[2, 1], [1, 2]], GF(3)) == ([[1, 2]], [0])
+
+    @given(field_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_reduced_form(self, case):
+        # Checked against rank, whose kernels share no code with row_echelon.
+        field, rows = case
+        echelon, pivots = row_echelon(rows, field)
+        assert len(echelon) == len(pivots) == rank(rows, field)
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for row, c in zip(echelon, pivots):
+            assert row[c] == 1
+            assert not any(row[:c])
+            assert all(other[c] == 0 for other in echelon if other is not row)
+        assert rank(rows + echelon, field) == len(echelon)
 
 
 class TestSnfInt:
