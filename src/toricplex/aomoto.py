@@ -110,10 +110,7 @@ def _aah_table(L: SimplicialComplex, w_mask: int, field: Field) -> tuple[int, ..
     # reduced homology of its link in L_W, shifted by 1 + |sigma|.
     top = len(L.face_counts())
     table = [0] * (top + 1)
-    for sigma in L.faces:
-        if sigma & w_mask:
-            continue
-        link = L.link(sigma, w_mask & L.full_mask)
+    for sigma, link in L.links(w_mask).items():
         for deg, dim in reduced_dims(link, field).items():
             i = deg + 1 + sigma.bit_count()
             if dim and 0 <= i <= top:

@@ -39,10 +39,6 @@ class HypothesisRefusal(Exception):
         self.witness = witness
 
 
-def _flag(gamma: Graph) -> SimplicialComplex:
-    return SimplicialComplex.flag_complex(gamma)
-
-
 def _format_group(betti: int, torsion) -> str:
     parts = ["Z"] * betti + [f"Z_{c}" for c in torsion]
     return " + ".join(parts) if parts else "0"
@@ -64,13 +60,14 @@ def finitely_generated(gamma: Graph, chi: Character) -> FinitenessReport:
 def _link_conditions(L: SimplicialComplex, w: int, r: int):
     """First failing (sigma, degree, group) with nonzero integral reduced
     homology of a link in the range forced by degree r, or None."""
+    links = L.links(w)
     for sigma in sorted(L.faces, key=lambda f: f.bit_count()):
         if sigma & w:
             continue
         top = r - 1 - sigma.bit_count()
         if top < -1:
             continue
-        integral = reduced_homology_integral(L.link(sigma, w))
+        integral = reduced_homology_integral(links[sigma])
         for deg in range(-1, top + 1):
             betti, torsion = integral.get(deg, (0, ()))
             if betti or torsion:
@@ -87,7 +84,7 @@ def fp_r(gamma: Graph, chi: Character, r: int) -> FinitenessReport:
     if r < 1:
         raise ValueError("r must be >= 1")
     chi = chi.normalized()
-    L = _flag(gamma)
+    L = SimplicialComplex.flag_complex(gamma)
     w = support(chi, 0)
     failure = _link_conditions(L, w, r)
     if failure is None:
@@ -107,7 +104,7 @@ def finitely_presented(gamma: Graph, chi: Character,
     fundamental group resists certification.
     """
     chi = chi.normalized()
-    L = _flag(gamma)
+    L = SimplicialComplex.flag_complex(gamma)
     w = support(chi, 0)
     if not gamma.is_connected(w):
         return FinitenessReport("FP", "NO", "supporting subgraph is disconnected")
@@ -279,7 +276,7 @@ def bb_summary(gamma: Graph, field: Field, r: int) -> BBSummary:
     theorem, so disagreement raises.  The FP_r verdict over the integers is
     cross-reported (it is the all-fields simultaneous version).
     """
-    L = _flag(gamma)
+    L = SimplicialComplex.flag_complex(gamma)
     nu = Character.diagonal(gamma.n)
     trivial = monodromy_trivial(L, nu, field, r).trivial
     findim = finite_dim_test(L, nu, field, r)

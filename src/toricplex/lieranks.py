@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb
+from math import comb, lcm
 
 from .aomoto import DegreeOneClass, truncated_quotient, QuotientRing
 from .exact.fields import QQ
@@ -210,19 +210,24 @@ def holonomy_dims(pres: HolonomyPresentation, up_to: int = 3) -> GradedRanks:
     if not 1 <= up_to <= 3:
         raise ValueError("holonomy dimensions are computed for degrees 1..3")
     n = pres.n
+    # Scaling a relation by the lcm of its denominators leaves every span,
+    # and so every rank, unchanged.
+    rows = []
+    for row in pres.relations:
+        den = lcm(*[c.denominator for c in row])
+        rows.append([c.numerator * (den // c.denominator) for c in row])
     dims = [n]
     if up_to >= 2:
-        dims.append(comb(n, 2) - matrix_rank([list(r) for r in pres.relations], QQ))
+        dims.append(comb(n, 2) - matrix_rank(rows, QQ))
     if up_to >= 3:
-        pairs, pair_idx = _pair_index(n)
+        pairs, _ = _pair_index(n)
         basis, basis_idx = _lie3_basis(n)
         vectors = []
-        for row in pres.relations:
+        for row in rows:
+            support = [(pairs[k], c) for k, c in enumerate(row) if c]
             for ell in range(n):
-                vec = [Fraction(0)] * len(basis)
-                for (i, j), c in zip(pairs, row):
-                    if c == 0:
-                        continue
+                vec = [0] * len(basis)
+                for (i, j), c in support:
                     if ell >= i:
                         vec[basis_idx[((i, j), ell)]] += c
                     else:

@@ -5,6 +5,12 @@ subset, link, and induction queries are single word operations.  Every
 complex contains the empty face; the empty complex ``{0}`` (no vertices, one
 empty face) is a legal value and is what links and inductions return when
 nothing survives.
+
+Integral homology first deletes reduction pairs from the chain complex of
+all faces, the empty face included: coreductions (Mrozek and Batko, Discrete
+Comput. Geom. 41, 2009) and collapses, each a unit-pivot reduction
+(Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35(4), 1998).  The
+Smith normal form runs only on what is left.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ def mask_of(vertices) -> int:
 class Graph:
     """Finite simple graph on a labelled vertex set."""
 
-    __slots__ = ("n", "labels", "adj")
+    __slots__ = ("n", "labels", "adj", "_flag")
 
     def __init__(self, n: int, edges, labels=None):
         if n > MAX_VERTICES:
@@ -63,6 +69,7 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.adj = tuple(adj)
+        self._flag = None  # the flag complex, once built
 
     @classmethod
     def path(cls, n: int) -> "Graph":
@@ -180,7 +187,10 @@ class SimplicialComplex:
 
     @classmethod
     def flag_complex(cls, g: Graph) -> "SimplicialComplex":
-        """Faces are the cliques of the graph."""
+        """Faces are the cliques of the graph; built once per graph and kept
+        on it."""
+        if g._flag is not None:
+            return g._flag
         faces = {0}
         layer = [1 << v for v in range(g.n)]
         faces.update(layer)
@@ -197,7 +207,8 @@ class SimplicialComplex:
                         faces.add(cand)
                         nxt.append(cand)
             layer = nxt
-        return cls(g.n, faces, g.labels, _trusted=True)
+        g._flag = cls(g.n, faces, g.labels, _trusted=True)
+        return g._flag
 
     # -- queries -----------------------------------------------------------
 
@@ -264,6 +275,18 @@ class SimplicialComplex:
             self.n,
             {f ^ sigma for f in self.faces if f & sigma == sigma and (f ^ sigma) & ~w_mask == 0},
             self.labels, _trusted=True)
+
+    def links(self, w_mask: int) -> dict[int, "SimplicialComplex"]:
+        """``link(sigma, w_mask)`` for every face sigma disjoint from ``w_mask``.
+
+        One pass over the faces: a face f lies in the link of
+        ``f & ~w_mask`` as ``f & w_mask``.
+        """
+        groups = {}
+        for f in self.faces:
+            groups.setdefault(f & ~w_mask, []).append(f & w_mask)
+        return {sigma: SimplicialComplex(self.n, taus, self.labels, _trusted=True)
+                for sigma, taus in groups.items()}
 
     def cone(self, apex_label: str | None = None) -> "SimplicialComplex":
         """Join with one fresh vertex, appended as the last universe slot."""
@@ -334,25 +357,86 @@ def boundary_matrix_int(L: SimplicialComplex, s: int) -> list[list[int]]:
     return mat
 
 
+def _reduce_by_unit_pivots(bd: dict) -> None:
+    """Delete reduction pairs from a chain complex, in place.
+
+    ``bd`` maps each cell to its boundary ``{cell: nonzero coefficient}``.
+    A cell b with exactly one boundary cell a is paired with it
+    (coreduction), and a cell a with exactly one coface b is paired with
+    that coface (collapse), whenever the coefficient of a in the boundary of
+    b is +-1.  Deleting such a pair changes no other coefficient, since the
+    pivot is alone in its column or its row, and leaves a complex that is
+    chain homotopy equivalent to the old one over Z.  Coreductions go first,
+    spreading from the cells whose boundary just shrank, as in Mrozek and
+    Batko; a collapse is tried only when none is pending.
+    """
+    cob = {c: {} for c in bd}
+    for c, faces in bd.items():
+        for a, k in faces.items():
+            cob[a][c] = k
+    shrunk, todo = [], list(bd)
+    while shrunk or todo:
+        if shrunk:
+            b = shrunk.pop()
+            faces = bd.get(b)
+            if faces is None or len(faces) != 1:
+                continue
+            ((a, k),) = faces.items()
+        else:
+            c = todo.pop()
+            faces = bd.get(c)
+            if faces is None:
+                continue
+            if len(faces) == 1:
+                ((a, k),) = faces.items()
+                b = c
+            elif len(cob[c]) == 1:
+                ((b, k),) = cob[c].items()
+                a = c
+            else:
+                continue
+        if k != 1 and k != -1:
+            continue
+        for x in (a, b):
+            for y in bd.pop(x):
+                del cob[y][x]
+                todo.append(y)
+            for y in cob.pop(x):
+                del bd[y][x]
+                shrunk.append(y)
+
+
 @lru_cache(maxsize=None)
 def reduced_homology_integral(L: SimplicialComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Reduced integral homology: degree -> (betti, torsion invariant factors).
 
     Degrees run from -1 (the empty-face degree) to dim L.  The empty complex
-    {0} has reduced H_-1 = Z.
+    {0} has reduced H_-1 = Z.  The chain complex of all faces, signed as in
+    ``boundary_matrix_int``, is first cut down by ``_reduce_by_unit_pivots``;
+    ``snf_int`` then sees only the boundary matrices of the cells left.
     """
-    counts = L.face_counts()
-    top = len(counts) - 1
-    forms = [snf_int(boundary_matrix_int(L, s)) for s in range(1, top + 1)]
-    ranks = [0] + [sf.rank for sf in forms] + [0]
-    out = {}
-    for s in range(0, top + 1):
-        betti = counts[s] - ranks[s] - ranks[s + 1]
-        torsion = ()
-        if s + 1 <= top:
-            torsion = tuple(d for d in forms[s].invariant_factors if d > 1)
-        out[s - 1] = (betti, torsion)
-    return out
+    bd = {f: {f ^ (1 << v): -1 if r % 2 else 1 for r, v in enumerate(bits(f))}
+          for f in L.faces}
+    _reduce_by_unit_pivots(bd)
+    top = L.dim + 1
+    by_size = [[] for _ in range(top + 1)]
+    for c in bd:
+        by_size[c.bit_count()].append(c)
+    ranks = [0] * (top + 2)
+    torsion = [()] * (top + 1)
+    for s in range(1, top + 1):
+        rows, cols = by_size[s - 1], by_size[s]
+        if rows and cols:
+            idx = {f: i for i, f in enumerate(rows)}
+            mat = [[0] * len(cols) for _ in rows]
+            for j, c in enumerate(cols):
+                for a, k in bd[c].items():
+                    mat[idx[a]][j] = k
+            form = snf_int(mat)
+            ranks[s] = form.rank
+            torsion[s - 1] = tuple(d for d in form.invariant_factors if d > 1)
+    return {s - 1: (len(by_size[s]) - ranks[s] - ranks[s + 1], torsion[s])
+            for s in range(top + 1)}
 
 
 def reduced_homology(L: SimplicialComplex, field: Field) -> dict[int, int]:

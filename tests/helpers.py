@@ -13,6 +13,8 @@ from math import gcd, lcm
 
 from toricplex.aomoto import aomoto_betti_aah
 from toricplex.exact import Poly
+from toricplex.exact.matrices import snf_int
+from toricplex.simplicial import boundary_matrix_int
 
 
 def int_minors_gcd(rows, k):
@@ -79,6 +81,18 @@ def strata_by_scan(L, field, i, d):
                   if aomoto_betti_aah(L, w, field, i)[i] >= d]
     return tuple(w for w in qualifying
                  if not any(w != u and w & ~u == 0 for u in qualifying))
+
+
+def homology_from_full_boundaries(L):
+    """Reduced integral homology, degree -> (betti, torsion), from the Smith
+    forms of the full boundary matrices of every degree, nothing reduced."""
+    counts = L.face_counts()
+    top = len(counts) - 1
+    forms = [snf_int(boundary_matrix_int(L, s)) for s in range(1, top + 1)]
+    ranks = [0] + [form.rank for form in forms] + [0]
+    return {s - 1: (counts[s] - ranks[s] - ranks[s + 1],
+                    tuple(d for d in forms[s].invariant_factors if d > 1) if s < top else ())
+            for s in range(top + 1)}
 
 
 def snf_from_minor_gcds(rows):

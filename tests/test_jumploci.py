@@ -11,7 +11,7 @@ from toricplex.jumploci import local_system_betti, resonance_membership, strata
 from toricplex.simplicial import Graph, SimplicialComplex, mask_of, toric_betti
 
 from helpers import strata_by_scan
-from test_simplicial import path3, random_complex, two_k2
+from test_simplicial import complexes, path3, random_complex, two_k2
 
 FIELDS = (QQ, GF(2), GF(3))
 
@@ -23,14 +23,6 @@ def random_connected_graph(rng, n_max=6):
         u, v = rng.sample(range(n), 2)
         edges.add((max(u, v), min(u, v)))
     return Graph(n, edges)
-
-
-@st.composite
-def complexes(draw, n_max=7):
-    """Complexes on up to n_max vertices with up to 2n faces of up to 3 vertices."""
-    n = draw(st.integers(1, n_max))
-    face = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
-    return SimplicialComplex.from_maximal_faces(draw(st.lists(face, max_size=2 * n)), n)
 
 
 class TestComplexRepr:

@@ -1,15 +1,18 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricplex.exact import GF, QQ
+from toricplex.fixtures import rp2_flag, rp2_six_vertex
 from toricplex.simplicial import (
-    Graph, SimplicialComplex, boundary_dim, dims_from_integral, flagification_defect,
-    format_complex, mask_of, parse_complex, reduced_dims, reduced_homology,
-    reduced_homology_integral, toric_betti,
+    Graph, SimplicialComplex, _reduce_by_unit_pivots, boundary_dim, dims_from_integral,
+    flagification_defect, format_complex, mask_of, parse_complex, reduced_dims,
+    reduced_homology, reduced_homology_integral, toric_betti,
 )
+
+from helpers import homology_from_full_boundaries
 
 
 def path3():
@@ -39,6 +42,14 @@ def random_complex(rng, n_min=3, n_max=7, max_face=4):
     return SimplicialComplex.from_maximal_faces(faces, n)
 
 
+@st.composite
+def complexes(draw, n_max=7):
+    """Complexes on up to n_max vertices with up to 2n faces of up to 3 vertices."""
+    n = draw(st.integers(1, n_max))
+    face = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+    return SimplicialComplex.from_maximal_faces(draw(st.lists(face, max_size=2 * n)), n)
+
+
 class TestConstruction:
     def test_from_maximal_faces(self):
         L = path3()
@@ -65,6 +76,14 @@ class TestConstruction:
         k5 = SimplicialComplex.flag_complex(Graph.complete(5))
         assert k5 == SimplicialComplex.simplex(5)
 
+    def test_flag_complex_kept_on_graph(self):
+        g, twin = Graph.cycle(5), Graph.cycle(5)
+        before = hash(g)
+        L = SimplicialComplex.flag_complex(g)
+        assert SimplicialComplex.flag_complex(g) is L
+        assert g == twin and hash(g) == hash(twin) == before
+        assert SimplicialComplex.flag_complex(twin) == L
+
     def test_induced(self):
         L = path3()
         W = mask_of([0, 2])
@@ -87,6 +106,14 @@ class TestConstruction:
         lk = two_k2().link(mask_of([2]), mask_of([0, 1]))
         assert lk.faces == frozenset({0})
         assert L.link(0, L.full_mask).faces == L.faces
+
+    @given(complexes(), st.integers(0, 127))
+    @settings(max_examples=60, deadline=None)
+    def test_links_in_one_pass(self, L, w):
+        links = L.links(w)
+        assert set(links) == {f for f in L.faces if not f & w}
+        for sigma, lk in links.items():
+            assert lk == L.link(sigma, w) and lk.labels == L.labels
 
     def test_link_of_nonface(self):
         with pytest.raises(ValueError):
@@ -132,6 +159,22 @@ class TestHomology:
         assert integral[0] == (0, ())
         assert dims_from_integral(integral, GF(2))[1] == 1
         assert dims_from_integral(integral, QQ)[1] == 0
+
+    @given(complexes())
+    @example(rp2_flag())
+    @example(rp2_six_vertex())
+    @example(SimplicialComplex.empty())
+    @example(SimplicialComplex.simplex(4))
+    @settings(max_examples=150, deadline=None)
+    def test_integral_against_full_boundaries(self, L):
+        reduced_homology_integral.cache_clear()
+        assert reduced_homology_integral(L) == homology_from_full_boundaries(L)
+
+    def test_non_unit_pivot_kept(self):
+        # Cellular chains of RP^2 with the empty cell: d(f) = 2e carries Z/2.
+        bd = {"": {}, "v": {"": 1}, "e": {}, "f": {"e": 2}}
+        _reduce_by_unit_pivots(bd)
+        assert bd == {"e": {}, "f": {"e": 2}}
 
     def test_boundary_dim(self):
         assert boundary_dim(path3(), 0, QQ) == 2
