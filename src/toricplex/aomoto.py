@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .exact.fields import Field
 from .exact.matrices import rank, row_echelon
-from .simplicial import SimplicialComplex, bits, reduced_dims
+from .simplicial import SimplicialComplex, bits
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,20 @@ def aomoto_betti_direct(L: SimplicialComplex, z: DegreeOneClass, i_max: int) -> 
 @lru_cache(maxsize=None)
 def _aah_table(L: SimplicialComplex, w_mask: int, field: Field) -> tuple[int, ...]:
     # beta_i for all i at once: each face sigma outside W contributes the
-    # reduced homology of its link in L_W, shifted by 1 + |sigma|.
-    top = len(L.face_counts())
-    table = [0] * (top + 1)
-    for sigma, link in L.links(w_mask).items():
-        for deg, dim in reduced_dims(link, field).items():
+    # reduced homology of its link in L_W, shifted by 1 + |sigma|.  The link
+    # homologies are integral, kept on L; over GF(p), universal coefficients
+    # count each invariant factor divisible by p in its own degree and in the
+    # degree above.
+    p = field.char
+    table = [0] * (len(L.face_counts()) + 1)
+    for sigma, entries in L.link_homologies(w_mask).items():
+        for deg, betti, torsion in entries:
             i = deg + 1 + sigma.bit_count()
-            if dim and 0 <= i <= top:
-                table[i] += dim
+            table[i] += betti
+            if p:
+                tor = sum(1 for c in torsion if c % p == 0)
+                table[i] += tor
+                table[i + 1] += tor
     return tuple(table)
 
 
@@ -126,8 +132,8 @@ def aomoto_betti_aah(L: SimplicialComplex, w_mask: int, field: Field,
     the convention that the empty complex has one unit of homology in
     degree -1.
     """
-    table = _aah_table(L, w_mask & L.full_mask, field)
-    return [table[i] if i < len(table) else 0 for i in range(i_max + 1)]
+    table = list(_aah_table(L, w_mask & L.full_mask, field)[:i_max + 1])
+    return table + [0] * (i_max + 1 - len(table))
 
 
 def beta1_closed_form(L: SimplicialComplex, w_mask: int) -> int:

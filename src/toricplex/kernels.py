@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from .aomoto import DegreeOneClass, truncated_quotient, QuotientRing
 from .exact.fields import Field
 from .jumploci import resonance_membership
-from .simplicial import (
-    Graph, SimplicialComplex, bits, reduced_dims, reduced_homology_integral,
-)
+from .simplicial import Graph, SimplicialComplex, bits, reduced_dims
 from .zcover import Character, monodromy_trivial, finite_dim_test, support
 
 
@@ -59,18 +57,19 @@ def finitely_generated(gamma: Graph, chi: Character) -> FinitenessReport:
 
 def _link_conditions(L: SimplicialComplex, w: int, r: int):
     """First failing (sigma, degree, group) with nonzero integral reduced
-    homology of a link in the range forced by degree r, or None."""
-    links = L.links(w)
-    for sigma in sorted(L.faces, key=lambda f: f.bit_count()):
-        if sigma & w:
-            continue
-        top = r - 1 - sigma.bit_count()
+    homology of a link in the range forced by degree r, or None.
+
+    Faces are tried in ``faces_by_size`` order, by size and then by mask, so
+    equal complexes name the same witness."""
+    links = L.link_homologies(w)
+    for size, faces in enumerate(L.faces_by_size()):
+        top = r - 1 - size
         if top < -1:
-            continue
-        integral = reduced_homology_integral(links[sigma])
-        for deg in range(-1, top + 1):
-            betti, torsion = integral.get(deg, (0, ()))
-            if betti or torsion:
+            break
+        for sigma in faces:
+            entries = links.get(sigma)   # ascending degree: the first is the lowest
+            if entries and entries[0][0] <= top:
+                deg, betti, torsion = entries[0]
                 return sigma, deg, _format_group(betti, torsion)
     return None
 
@@ -129,48 +128,88 @@ def finitely_presented(gamma: Graph, chi: Character,
 def _pi1_trivial(K: SimplicialComplex, budget: int):
     """True/False when decided, None when the budget runs out.
 
-    Presentation: one generator per non-tree edge of the 1-skeleton, one
-    relator per triangle, simplified by free reduction and generator
-    elimination.
+    Presentation: one generator per edge of the 1-skeleton, one relator per
+    triangle, and the edges of a spanning tree trivial.  The edge closure of
+    ``_trivial_edges`` certifies pi_1 = 1 when it reaches every edge; only
+    otherwise are the edges it leaves simplified by free reduction and
+    generator elimination.
     """
-    verts = K.vertices()
-    if not verts:
-        return True
-    g = K.one_skeleton()
-    root = verts[0]
-    parent = {root: None}
-    order = [root]
-    frontier = [root]
-    while frontier:
-        u = frontier.pop()
-        for v in bits(g.adj[u]):
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-                frontier.append(v)
-    if len(order) != len(verts):
+    by_size = K.faces_by_size()
+    if len(by_size) < 2:
+        return True  # no vertices
+    trivial = _trivial_edges(by_size)
+    if trivial is None:
         return False  # disconnected: not even 0-connected
-    tree = {(min(u, v), max(u, v)) for v, u in parent.items() if u is not None}
+    edges = by_size[2] if len(by_size) > 2 else ()
+    if len(trivial) == len(edges):
+        return True
     gens = {}
-    for u, v in g.edges():
-        if (u, v) not in tree:
-            gens[(u, v)] = len(gens) + 1
-    if not gens:
-        return True  # the 1-skeleton is a tree
+    for e in edges:
+        if e not in trivial:
+            gens[e] = len(gens) + 1
 
     def edge_word(u, v):
-        if (min(u, v), max(u, v)) in tree:
+        idx = gens.get(1 << u | 1 << v)
+        if idx is None:
             return ()
-        idx = gens[(min(u, v), max(u, v))]
         return (idx,) if u < v else (-idx,)
 
     relators = []
-    for f in K.faces:
-        if f.bit_count() == 3:
-            a, b, c = bits(f)
-            relators.append(_free_reduce(edge_word(a, b) + edge_word(b, c)
-                                          + edge_word(c, a)))
+    for f in by_size[3] if len(by_size) > 3 else ():
+        a, b, c = bits(f)
+        relators.append(_free_reduce(edge_word(a, b) + edge_word(b, c) + edge_word(c, a)))
     return _tietze_trivial(set(gens.values()), relators, budget)
+
+
+def _trivial_edges(by_size):
+    """Edge masks that are trivial in pi_1 by closure, or None when the
+    1-skeleton is disconnected; ``by_size`` is a ``faces_by_size()`` with
+    at least one vertex.
+
+    The edges of a spanning tree are trivial, and a triangle with two trivial
+    edges makes its third edge trivial, since the triangle's boundary word is
+    a relator.
+    """
+    vertices = by_size[1]
+    adj = dict.fromkeys(vertices, 0)   # vertex bit -> its neighbours' bits
+    for e in by_size[2] if len(by_size) > 2 else ():
+        a = e & -e
+        adj[a] |= e ^ a
+        adj[e ^ a] |= a
+    seen = frontier = vertices[0]
+    todo = []   # the spanning tree's edges, then each edge found trivial
+    while frontier:
+        u = frontier & -frontier
+        frontier ^= u
+        new = adj[u] & ~seen
+        seen |= new
+        frontier |= new
+        while new:
+            v = new & -new
+            new ^= v
+            todo.append(u | v)
+    if len(todo) != len(vertices) - 1:
+        return None
+    others = {}   # edge -> the other two edges of each triangle on it
+    for f in by_size[3] if len(by_size) > 3 else ():
+        a = f & -f
+        b = f & (f - 1)
+        b &= -b
+        ab, ac, bc = a | b, f ^ b, f ^ a
+        others.setdefault(ab, []).append((ac, bc))
+        others.setdefault(ac, []).append((ab, bc))
+        others.setdefault(bc, []).append((ab, ac))
+    trivial = set(todo)
+    while todo:
+        for x, y in others.get(todo.pop(), ()):
+            if x in trivial:
+                x = y
+            elif y not in trivial:
+                continue
+            if x not in trivial:
+                trivial.add(x)
+                todo.append(x)
+    return trivial
 
 
 def _free_reduce(word):

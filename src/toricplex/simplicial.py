@@ -6,11 +6,18 @@ complex contains the empty face; the empty complex ``{0}`` (no vertices, one
 empty face) is a legal value and is what links and inductions return when
 nothing survives.
 
-Integral homology first deletes reduction pairs from the chain complex of
-all faces, the empty face included: coreductions (Mrozek and Batko, Discrete
-Comput. Geom. 41, 2009) and collapses, each a unit-pivot reduction
-(Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35(4), 1998).  The
-Smith normal form runs only on what is left.
+Integral homology of a graph is read off its components.  Otherwise it first
+deletes reduction pairs from the chain complex of all faces, the empty face
+included: coreductions (Mrozek and Batko, Discrete Comput. Geom. 41, 2009)
+and collapses, each a unit-pivot reduction (Kaczynski, Mrozek and Slusarek,
+Comput. Math. Appl. 35(4), 1998).  The Smith normal form runs only on what
+is left.
+
+The integral homology of every link lk_{L_W}(sigma) comes from one pass over
+the faces per W (``SimplicialComplex.link_homologies``).  Each link's face
+set is encoded as an int over the complex's own face index and its homology
+is kept on the complex under that int, so a link met again under another W
+or sigma is never rebuilt or reduced twice.
 """
 
 from __future__ import annotations
@@ -136,7 +143,7 @@ class SimplicialComplex:
     singleton faces, which may be smaller than the universe.
     """
 
-    __slots__ = ("n", "labels", "faces", "_by_size")
+    __slots__ = ("n", "labels", "faces", "_by_size", "_face_index", "_link_memo")
 
     def __init__(self, n: int, faces, labels=None, _trusted=False):
         if n > MAX_VERTICES:
@@ -157,6 +164,8 @@ class SimplicialComplex:
                         raise ValueError("face set is not closed under subsets")
         self.faces = faces
         self._by_size = None
+        self._face_index = None  # (faces in faces_by_size order, face -> 1 << its place)
+        self._link_memo = {}     # a link's face set as an int -> its nonzero homology
 
     @classmethod
     def from_maximal_faces(cls, maximal, n: int, labels=None) -> "SimplicialComplex":
@@ -276,17 +285,43 @@ class SimplicialComplex:
             {f ^ sigma for f in self.faces if f & sigma == sigma and (f ^ sigma) & ~w_mask == 0},
             self.labels, _trusted=True)
 
-    def links(self, w_mask: int) -> dict[int, "SimplicialComplex"]:
-        """``link(sigma, w_mask)`` for every face sigma disjoint from ``w_mask``.
+    def link_homologies(self, w_mask: int) -> dict[int, tuple]:
+        """Nonzero reduced integral homology of ``link(sigma, w_mask)``, for
+        every face sigma disjoint from ``w_mask`` whose link is not acyclic.
 
-        One pass over the faces: a face f lies in the link of
-        ``f & ~w_mask`` as ``f & w_mask``.
+        Each value is a tuple of ``(degree, betti, torsion)`` entries in
+        ascending degree, one per degree whose group is nonzero.  One pass
+        over the faces: a face f lies in the link of ``f & ~w_mask`` as
+        ``f & w_mask``.  Each link's face set is an int with bit k set for
+        the k-th face in ``faces_by_size`` order, and its homology is kept on
+        the complex under that int.
         """
+        if self._face_index is None:
+            order = tuple(f for g in self.faces_by_size() for f in g)
+            self._face_index = order, {f: 1 << k for k, f in enumerate(order)}
+        order, bit = self._face_index
+        outside = ~w_mask
         groups = {}
         for f in self.faces:
-            groups.setdefault(f & ~w_mask, []).append(f & w_mask)
-        return {sigma: SimplicialComplex(self.n, taus, self.labels, _trusted=True)
-                for sigma, taus in groups.items()}
+            sigma = f & outside
+            groups[sigma] = groups.get(sigma, 0) | bit[f & w_mask]
+        memo = self._link_memo
+        out = {}
+        for sigma, key in groups.items():
+            entries = memo.get(key)
+            if entries is None:
+                faces, rest = [], key
+                while rest:
+                    low = rest & -rest
+                    faces.append(order[low.bit_length() - 1])
+                    rest ^= low
+                homology = _integral_homology(faces, faces[-1].bit_count())
+                entries = memo[key] = tuple(
+                    (deg, betti, torsion) for deg, (betti, torsion) in homology.items()
+                    if betti or torsion)
+            if entries:
+                out[sigma] = entries
+        return out
 
     def cone(self, apex_label: str | None = None) -> "SimplicialComplex":
         """Join with one fresh vertex, appended as the last universe slot."""
@@ -406,19 +441,21 @@ def _reduce_by_unit_pivots(bd: dict) -> None:
                 shrunk.append(y)
 
 
-@lru_cache(maxsize=None)
-def reduced_homology_integral(L: SimplicialComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Reduced integral homology: degree -> (betti, torsion invariant factors).
+def _integral_homology(faces, top: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Reduced integral homology of a downward-closed face list that holds
+    the empty face and whose largest faces have ``top`` vertices:
+    degree -> (betti, torsion invariant factors), degrees -1 .. top - 2.
 
-    Degrees run from -1 (the empty-face degree) to dim L.  The empty complex
-    {0} has reduced H_-1 = Z.  The chain complex of all faces, signed as in
-    ``boundary_matrix_int``, is first cut down by ``_reduce_by_unit_pivots``;
-    ``snf_int`` then sees only the boundary matrices of the cells left.
+    A graph is read off its components.  Otherwise the chain complex of all
+    faces, signed as in ``boundary_matrix_int``, is first cut down by
+    ``_reduce_by_unit_pivots``; ``snf_int`` then sees only the boundary
+    matrices of the cells left.
     """
+    if top <= 2:
+        return _graph_homology(faces, top)
     bd = {f: {f ^ (1 << v): -1 if r % 2 else 1 for r, v in enumerate(bits(f))}
-          for f in L.faces}
+          for f in faces}
     _reduce_by_unit_pivots(bd)
-    top = L.dim + 1
     by_size = [[] for _ in range(top + 1)]
     for c in bd:
         by_size[c.bit_count()].append(c)
@@ -437,6 +474,45 @@ def reduced_homology_integral(L: SimplicialComplex) -> dict[int, tuple[int, tupl
             torsion[s - 1] = tuple(d for d in form.invariant_factors if d > 1)
     return {s - 1: (len(by_size[s]) - ranks[s] - ranks[s + 1], torsion[s])
             for s in range(top + 1)}
+
+
+def _graph_homology(faces, top: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """``_integral_homology`` of a complex of dimension at most 1: H~_0 is
+    free of rank components - 1, and H_1 of rank edges - vertices +
+    components."""
+    if top == 0:
+        return {-1: (1, ())}
+    component, edges = {}, []   # vertex -> mask of its component
+    for f in faces:
+        if f.bit_count() == 1:
+            component[f] = f
+        elif f:
+            edges.append(f)
+    count = len(component)
+    for e in edges:
+        a, b = component[e & -e], component[e & (e - 1)]
+        if a != b:
+            count -= 1
+            merged = a | b
+            for v in bits(merged):
+                component[1 << v] = merged
+    out = {-1: (0, ()), 0: (count - 1, ())}
+    if top == 2:
+        out[1] = (len(edges) - len(component) + count, ())
+    return out
+
+
+@lru_cache(maxsize=None)
+def reduced_homology_integral(L: SimplicialComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Reduced integral homology: degree -> (betti, torsion invariant factors).
+
+    Degrees run from -1 (the empty-face degree) to dim L.  The empty complex
+    {0} has reduced H_-1 = Z.  This is the whole-complex entry point, for
+    ``reduced_dims`` and callers outside the library; the link-homology
+    formula of ``aomoto._aah_table`` and ``kernels._link_conditions`` reads
+    ``SimplicialComplex.link_homologies`` instead and never calls it.
+    """
+    return _integral_homology(L.faces, L.dim + 1)
 
 
 def reduced_homology(L: SimplicialComplex, field: Field) -> dict[int, int]:

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricplex.aomoto import (
-    DegreeOneClass, aomoto_betti_aah, aomoto_betti_direct, beta1_closed_form,
+    DegreeOneClass, _aah_table, aomoto_betti_aah, aomoto_betti_direct, beta1_closed_form,
     multiplication_matrix, truncated_quotient,
 )
 from toricplex.exact import GF, QQ, rank
+from toricplex.fixtures import rp2_six_vertex
 from toricplex.simplicial import SimplicialComplex, bits, mask_of, toric_betti
 
 from test_simplicial import path3, random_complex, two_k2
@@ -114,6 +115,28 @@ class TestOracleEquivalence:
         b1 = aomoto_betti_direct(L, DegreeOneClass(field, coeffs), 3)
         b2 = aomoto_betti_direct(L, DegreeOneClass(field, coeffs2), 3)
         assert b1[1:] == b2[1:]
+
+    @pytest.mark.parametrize("L", [
+        rp2_six_vertex(), rp2_six_vertex().cone(),
+        random_complex(random.Random(5), n_min=7, n_max=7),
+    ], ids=["rp2", "rp2-cone", "random-7"])
+    def test_link_memo_reused_across_w(self, L):
+        # One complex answers every W in a shuffled order, so later W read
+        # link homologies that earlier W left on it.  A fresh copy has none
+        # kept, and the direct route shares no code with either.  The
+        # projective plane's Z/2 reaches two degrees over GF(2).
+        top = len(L.face_counts())
+        order = list(range(1 << L.n))
+        random.Random(L.n).shuffle(order)
+        for w in order:
+            for field in (QQ, GF(2)):
+                _aah_table.cache_clear()
+                kept = aomoto_betti_aah(L, w, field, top)
+                _aah_table.cache_clear()
+                fresh = SimplicialComplex(L.n, L.faces, L.labels, _trusted=True)
+                z = DegreeOneClass.from_support(field, w, L.n)
+                assert kept == aomoto_betti_aah(fresh, w, field, top) \
+                    == aomoto_betti_direct(L, z, top), (w, field)
 
     def test_monotone_in_w(self):
         for L in all_complexes_on_4_vertices()[::7]:

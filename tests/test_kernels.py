@@ -8,15 +8,53 @@ from toricplex.exact import GF, QQ
 from toricplex.fixtures import rp2_flag
 from toricplex.kernels import (
     BBSummary, HypothesisRefusal, bb_summary, cover_cohomology_ring,
-    finitely_generated, finitely_presented, fp_r, _pi1_trivial,
+    finitely_generated, finitely_presented, fp_r, _pi1_trivial, _tietze_trivial,
+    _trivial_edges,
 )
-from toricplex.simplicial import Graph, SimplicialComplex
+from toricplex.simplicial import Graph, SimplicialComplex, bits
 from toricplex.zcover import Character
 
 from test_jumploci import random_connected_graph
+from test_simplicial import random_complex
 
 FIELDS = (QQ, GF(2), GF(3))
 CHI_121 = Character((1, 2, 1))
+
+
+def reordered(gamma: Graph) -> Graph:
+    """An equal graph whose flag complex was built from its faces in
+    descending order, so its face set iterates in another order."""
+    faces = sorted(SimplicialComplex.flag_complex(gamma).faces, reverse=True)
+    other = Graph(gamma.n, gamma.edges(), gamma.labels)
+    other._flag = SimplicialComplex(gamma.n, faces, gamma.labels, _trusted=True)
+    return other
+
+
+def edge_presentation(K: SimplicialComplex):
+    """pi_1 of a connected K: one generator per edge, one relator per
+    triangle, and a one-letter relator per edge of a spanning tree found by
+    union-find."""
+    edges = [f for f in K.faces if f.bit_count() == 2]
+    gen = {e: k for k, e in enumerate(edges, start=1)}
+    root = {v: v for v in K.vertices()}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    relators = []
+    for e in edges:
+        u, v = bits(e)
+        if find(u) != find(v):
+            root[find(u)] = find(v)
+            relators.append((gen[e],))
+    for f in K.faces:
+        if f.bit_count() == 3:
+            a, b, c = bits(f)
+            # a -> b -> c -> a, each edge read from its smaller vertex.
+            relators.append((gen[f ^ 1 << c], gen[f ^ 1 << a], -gen[f ^ 1 << b]))
+    return set(gen.values()), relators
 
 
 class TestFinitelyGenerated:
@@ -97,7 +135,64 @@ class TestPi1Certification:
             assert _pi1_trivial(wheel, 10_000) is True
 
     def test_projective_plane_not_certified_trivial(self):
-        assert _pi1_trivial(rp2_flag(), 10_000) is not True
+        K = rp2_flag()
+        assert len(_trivial_edges(K.faces_by_size())) < len(K.faces_by_size()[2])
+        for budget in (0, 1, 10, 100, 10_000):
+            assert _pi1_trivial(K, budget) is not True
+
+    def test_closure_certifies_cones(self):
+        # Along any spanning tree every spoke to the apex becomes trivial, and
+        # then every base edge, whose triangle with the apex has two spokes.
+        for k in (4, 5, 6):
+            wheel = SimplicialComplex.flag_complex(Graph.cycle(k)).cone()
+            assert len(_trivial_edges(wheel.faces_by_size())) == len(wheel.faces_by_size()[2])
+            assert _pi1_trivial(wheel, 0) is True
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=80, deadline=None)
+    def test_closure_never_meets_tietze_no(self, seed):
+        # Against Tietze moves on the presentation with every edge a
+        # generator and a different spanning tree.
+        rng = random.Random(seed)
+        if seed % 2:
+            K = SimplicialComplex.flag_complex(random_connected_graph(rng, n_max=8))
+        else:
+            K = random_complex(rng, n_min=3, n_max=7, max_face=3)
+        trivial = _trivial_edges(K.faces_by_size())
+        if trivial is None:
+            assert _pi1_trivial(K, 10_000) is False
+            return
+        tietze = _tietze_trivial(*edge_presentation(K), 10_000)
+        if len(trivial) == len(K.faces_by_size()[2]):
+            assert tietze is not False
+        verdict = _pi1_trivial(K, 10_000)
+        assert None in (verdict, tietze) or verdict == tietze
+
+
+class TestFaceOrder:
+    # Equal complexes name the same witness whatever order built them.
+    def test_known_tie(self):
+        L = SimplicialComplex.from_maximal_faces(
+            [[0, 3], [0, 2, 5], [0, 5, 6], [1, 7], [4, 7], [2, 8], [7, 8], [4, 5, 9]], 10)
+        gamma = L.one_skeleton()
+        chi = Character(tuple(1 if 0b101001 >> v & 1 else 0 for v in range(10)))
+        other = reordered(gamma)
+        assert fp_r(gamma, chi, 1) == fp_r(other, chi, 1)
+        assert fp_r(gamma, chi, 1).witness == "H~-1(lk({b}); Z) = Z"
+        assert finitely_presented(gamma, chi) == finitely_presented(other, chi)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_reports_independent_of_face_order(self, seed):
+        rng = random.Random(seed)
+        gamma = random_connected_graph(rng, n_max=10)
+        other = reordered(gamma)
+        chi = Character(tuple(rng.choice((0, 1)) for _ in range(gamma.n)))
+        if not any(chi.weights):
+            chi = Character.diagonal(gamma.n)
+        for r in (1, 2, 3):
+            assert fp_r(gamma, chi, r) == fp_r(other, chi, r)
+        assert finitely_presented(gamma, chi) == finitely_presented(other, chi)
 
 
 class TestFPr:

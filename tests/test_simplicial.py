@@ -108,12 +108,19 @@ class TestConstruction:
         assert L.link(0, L.full_mask).faces == L.faces
 
     @given(complexes(), st.integers(0, 127))
-    @settings(max_examples=60, deadline=None)
-    def test_links_in_one_pass(self, L, w):
-        links = L.links(w)
-        assert set(links) == {f for f in L.faces if not f & w}
-        for sigma, lk in links.items():
-            assert lk == L.link(sigma, w) and lk.labels == L.labels
+    @example(rp2_six_vertex(), 0b111111)
+    @example(rp2_six_vertex().cone(), 0b111111)
+    @example(rp2_six_vertex().cone().cone(), 0b1111111)
+    @settings(max_examples=80, deadline=None)
+    def test_link_homologies_in_one_pass(self, L, w):
+        homologies = L.link_homologies(w)
+        outside = {f for f in L.faces if not f & w}
+        assert set(homologies) <= outside and all(homologies.values())
+        for sigma in outside:
+            integral = reduced_homology_integral(L.link(sigma, w))
+            assert homologies.get(sigma, ()) == tuple(
+                (deg, betti, torsion) for deg, (betti, torsion) in integral.items()
+                if betti or torsion)
 
     def test_link_of_nonface(self):
         with pytest.raises(ValueError):
